@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from repro.data.instance import Database, Instance
 from repro.data.terms import Null
-from repro.chase.standard import ChaseRecorder, ChaseResult, chase
+from repro.chase.standard import ChaseResult, chase
 from repro.cq.query import ConjunctiveQuery
 from repro.tgds.ontology import Ontology
 
@@ -102,7 +102,7 @@ def query_directed_chase(
     null_depth: int | None = None,
     max_facts: int = 5_000_000,
     reuse: QueryDirectedChase | None = None,
-    recorder: ChaseRecorder | None = None,
+    provenance: list | None = None,
     codegen: bool | None = None,
 ) -> QueryDirectedChase:
     """Compute ``ch^q_O(D)`` for the given database, ontology and query.
@@ -111,10 +111,11 @@ def query_directed_chase(
     that is still current and at least as deep as ``query`` requires, the
     chased instance is shared instead of recomputed — this is the
     preprocessing/enumeration split the engine relies on.  The returned
-    wrapper still carries the new query.  ``recorder`` observes the
-    underlying run for provenance capture (ignored on the reuse path, where
-    no run happens).  ``codegen`` selects the generated single-atom-body
-    matchers of the underlying run (``None`` → process default).
+    wrapper still carries the new query.  ``provenance`` is the underlying
+    run's append-only trigger log (see :func:`repro.chase.standard.chase`;
+    untouched on the reuse path, where no run happens).  ``codegen``
+    selects the generated single-atom-body matchers of the underlying run
+    (``None`` → process default).
     """
     depth = null_depth if null_depth is not None else default_null_depth(ontology, query)
     if (
@@ -138,7 +139,7 @@ def query_directed_chase(
         ontology,
         max_null_depth=depth,
         max_facts=max_facts,
-        recorder=recorder,
+        provenance=provenance,
         codegen=codegen,
     )
     return QueryDirectedChase(

@@ -14,6 +14,11 @@ depth ``d`` gets depth ``d + 1`` (database constants have depth 0), and
 triggers that would create nulls beyond ``max_null_depth`` are skipped.  The
 query-directed chase of :mod:`repro.chase.query_directed` chooses this bound
 from the query so that the truncation is invisible to query evaluation.
+
+A run can also append a provenance log — one entry per examined trigger,
+built from objects the loop already holds — for the DRed-style deletion
+support of :mod:`repro.incremental.provenance`; a run without a log does
+no provenance work at all.
 """
 
 from __future__ import annotations
@@ -24,8 +29,7 @@ from typing import Sequence
 from repro.config import codegen_enabled
 from repro.data.facts import Fact
 from repro.data.instance import Instance
-from repro.data.interning import TERMS
-from repro.data.terms import Null, NullFactory, is_null
+from repro.data.terms import Null, is_null
 from repro.cq.atoms import Atom, Variable
 from repro.cq.homomorphism import (
     _candidate_pool,
@@ -52,6 +56,10 @@ class ChaseResult:
     rounds: int = 0
     fired_triggers: int = 0
     truncated: bool = False
+    #: The dedup keys of every fired trigger (see :func:`_trigger_key`).
+    fired: set[tuple] = field(default_factory=set)
+    #: The provenance log the run appended to, or ``None`` (see :func:`chase`).
+    provenance: list | None = None
 
     def nulls(self) -> set[Null]:
         return set(self.null_depth)
@@ -105,42 +113,6 @@ class ChaseResult:
             block[0].add(null)
             block[1].update(adjacency[null])
         return list(blocks.values())
-
-
-class ChaseRecorder:
-    """Observer protocol for provenance-aware chase runs.
-
-    :mod:`repro.incremental.provenance` implements it to capture, per fired
-    trigger, the supporting body facts and the created facts/nulls — and,
-    per *suppressed* trigger (body matched, head already satisfied), the
-    facts witnessing the satisfaction.  Those records are exactly what the
-    DRed-style delete/re-derive maintenance needs later.  The default
-    implementation records nothing, so a plain chase pays no bookkeeping.
-    """
-
-    def bind(self, instance: Instance, fired: set[tuple], fresh: NullFactory) -> None:
-        """Called once at the start of the run with the live structures."""
-
-    def on_fire(
-        self,
-        tgd_index: int,
-        key: tuple,
-        frontier_map: dict[Variable, object],
-        body_facts: tuple[Fact, ...],
-        created_facts: tuple[Fact, ...],
-        created_nulls: tuple[Null, ...],
-    ) -> None:
-        """A trigger fired: ``created_facts`` lists every head fact (new or
-        pre-existing — both are justified by this firing)."""
-
-    def on_suppress(
-        self,
-        tgd_index: int,
-        key: tuple,
-        frontier_map: dict[Variable, object],
-        witness_facts: tuple[Fact, ...],
-    ) -> None:
-        """A trigger was skipped because ``witness_facts`` satisfy its head."""
 
 
 @dataclass(frozen=True)
@@ -225,22 +197,18 @@ def _trigger_key(
     tgd_index: int,
     mapping: dict[Variable, object],
     order: Sequence[Variable],
-    interned: bool = False,
 ) -> tuple:
-    """The dedup key of a trigger: the mapped values in a fixed variable order.
+    """The dedup key of a trigger: the mapped terms in a fixed variable order.
 
     ``order`` is the precompiled sorted variable order of the TGD's frontier
     (restricted chase) or body (oblivious chase) from
     :class:`CompiledOntology` — callers must pass the same order for keys to
-    compare across rounds and across the provenance-maintained delta chase.
-    With ``interned`` the values are dictionary-encoded first, so the
-    ``fired`` set hashes machine ints instead of term objects — the
-    id-matching half of the chase loop.
+    compare across rounds and across the provenance-maintained delta chase,
+    and ``dict(zip(order, key[1]))`` recovers the mapping from a key.  The
+    values stay plain terms: dictionary-encoding them first would hash every
+    term anyway and then hash the ids again.
     """
-    values = tuple(mapping[v] for v in order)
-    if interned:
-        values = TERMS.intern_tuple(values)
-    return (tgd_index, values)
+    return (tgd_index, tuple(mapping[v] for v in order))
 
 
 def _single_body_matcher(atom: Atom, codegen: bool | None = None):
@@ -317,7 +285,7 @@ def chase(
     max_facts: int = 1_000_000,
     max_rounds: int = 10_000,
     oblivious: bool = False,
-    recorder: ChaseRecorder | None = None,
+    provenance: list | None = None,
     codegen: bool | None = None,
 ) -> ChaseResult:
     """Run the chase of ``database`` with ``ontology``.
@@ -326,12 +294,17 @@ def chase(
     facts.  ``max_null_depth`` truncates the run as described in the module
     docstring (``truncated`` is set when at least one trigger was skipped for
     this reason); ``max_facts`` / ``max_rounds`` are hard safety budgets that
-    raise :class:`ChaseNotTerminating` when exhausted.  ``recorder``, when
-    given, observes every fired and suppressed trigger (see
-    :class:`ChaseRecorder`); it is how the incremental-maintenance subsystem
-    captures provenance without slowing down plain runs.  ``codegen``
-    selects the generated single-atom-body matchers (``None`` → process
-    default, see :mod:`repro.config`).
+    raise :class:`ChaseNotTerminating` when exhausted.
+
+    ``provenance``, when given, is an append-only log of every examined
+    trigger: the trigger key of a suppressed trigger (body matched, head
+    already satisfied), and ``(key, body_map, head_map)`` for a fired one.
+    The entries are objects the loop builds anyway — no copies, no
+    ``Fact`` — so a cold run pays one append per trigger; the
+    incremental-maintenance subsystem turns the log into DRed indexes only
+    if a deletion ever needs them (:class:`repro.incremental.
+    ChaseMaintainer`).  ``codegen`` selects the generated single-atom-body
+    matchers (``None`` → process default, see :mod:`repro.config`).
     """
     if codegen is None:
         codegen = codegen_enabled()
@@ -341,11 +314,11 @@ def chase(
     # Draw labels from the instance's factory (process-globally unique), so
     # two independent chase runs can never hand out aliasing null labels.
     fresh = instance.null_factory
-    interned = instance.interned
-    result = ChaseResult(instance, base_constants, null_depth)
-    fired: set[tuple] = set()
-    if recorder is not None:
-        recorder.bind(instance, fired, fresh)
+    result = ChaseResult(
+        instance, base_constants, null_depth, provenance=provenance
+    )
+    fired = result.fired
+    log = provenance.append if provenance is not None else None
 
     def depth_of(element: object) -> int:
         if is_null(element):
@@ -403,35 +376,24 @@ def chase(
                 frontier_map = {v: body_map[v] for v in frontiers[tgd_index]}
                 if oblivious:
                     key = _trigger_key(
-                        tgd_index,
-                        body_map,
-                        compiled.body_orders[tgd_index],
-                        interned,
+                        tgd_index, body_map, compiled.body_orders[tgd_index]
                     )
                     if key in fired:
                         continue
                 else:
                     key = _trigger_key(
-                        tgd_index,
-                        frontier_map,
-                        compiled.frontier_orders[tgd_index],
-                        interned,
+                        tgd_index, frontier_map, compiled.frontier_orders[tgd_index]
                     )
                     if key in fired:
                         continue
-                    witness = _head_witness(
-                        head_queries[tgd_index], frontier_map, instance
-                    )
-                    if witness is not None:
-                        if recorder is not None:
-                            recorder.on_suppress(
-                                tgd_index,
-                                key,
-                                dict(frontier_map),
-                                tuple(
-                                    atom.to_fact(witness) for atom in tgd.head
-                                ),
-                            )
+                    if (
+                        _head_witness(
+                            head_queries[tgd_index], frontier_map, instance
+                        )
+                        is not None
+                    ):
+                        if log is not None:
+                            log(key)
                         continue
                 trigger_depth = max(
                     (depth_of(v) for v in frontier_map.values()), default=0
@@ -442,28 +404,17 @@ def chase(
                         continue
                 fired.add(key)
                 head_map = dict(frontier_map)
-                created_nulls: list[Null] = []
                 for variable in existentials[tgd_index]:
                     null = fresh()
                     null_depth[null] = trigger_depth + 1
                     head_map[variable] = null
-                    created_nulls.append(null)
-                created_facts: list[Fact] = []
                 for atom in tgd.head:
                     new_fact = atom.to_fact(head_map)
-                    created_facts.append(new_fact)
                     if instance.add(new_fact):
                         new_facts.append(new_fact)
                 result.fired_triggers += 1
-                if recorder is not None:
-                    recorder.on_fire(
-                        tgd_index,
-                        key,
-                        dict(frontier_map),
-                        tuple(atom.to_fact(body_map) for atom in tgd.body),
-                        tuple(created_facts),
-                        tuple(created_nulls),
-                    )
+                if log is not None:
+                    log((key, body_map, head_map))
                 if len(instance) > max_facts:
                     raise ChaseNotTerminating(
                         f"chase exceeded {max_facts} facts"

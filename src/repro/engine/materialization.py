@@ -26,6 +26,12 @@ untouched block index alive.  Deltas that are too large, unreconstructable
 drop everything and rebuild (``chase_rebuilds`` counts those full builds,
 ``chase_increments`` the in-place maintenance passes).
 
+Provenance is deferred: an incremental chase only appends each examined
+trigger to the maintainer's log, and the first delta that removes facts
+turns that log into the DRed indexes, under a ``provenance_index`` span
+inside ``revalidate``.  A cold query, and a database that only grows, never
+pay for deletion bookkeeping.
+
 Not thread-safe on its own: :class:`repro.engine.QueryEngine` serializes all
 calls through its lock and only the read-only enumeration phase runs outside
 it.
@@ -337,8 +343,17 @@ class Materialization:
             self.incremental_fallbacks += 1
             self._record_over_budget()
             return False
+        maintainer = self._maintainer
+        if delta.removed and not maintainer.indexed:
+            # The one-time price of deferred provenance: the first deleting
+            # refresh turns the chase's trigger log into DRed indexes.
+            with self._span("provenance_index") as sp:
+                maintainer.build_indexes()
+                if sp is not None:
+                    sp.set("firings", len(maintainer.firings))
+                    sp.set("suppressed", len(maintainer.suppressed))
         try:
-            chase_delta = self._maintainer.apply_delta(delta)
+            chase_delta = maintainer.apply_delta(delta)
         except ChaseNotTerminating:
             # The instance may be half-updated: a full rebuild is mandatory.
             self.incremental_fallbacks += 1
@@ -450,17 +465,17 @@ class Materialization:
             # any existing pool no longer match the instance we will build.
             self._close_pool()
             with self._span("chase", null_depth=depth) as sp:
-                recorder = (
+                maintainer = (
                     ChaseMaintainer(self.database, self.ontology, max_null_depth=depth)
                     if self.incremental
                     else None
                 )
                 parallel = False
                 boundary = 0
-                # The parallel chase cannot feed a provenance recorder
-                # (suppression witnesses stay worker-side), so it only runs
-                # for non-incremental materializations.
-                if recorder is None and self._parallel_available():
+                # The parallel chase keeps no provenance log (body matches
+                # stay worker-side), so it only runs for non-incremental
+                # materializations.
+                if maintainer is None and self._parallel_available():
                     from repro.parallel import ParallelExecutionError, parallel_chase
 
                     snapshot = self.database.version
@@ -497,16 +512,23 @@ class Materialization:
                         prepared.omq.query,
                         null_depth=depth,
                         reuse=self.chase,
-                        recorder=recorder,
+                        provenance=maintainer.log if maintainer is not None else None,
                         codegen=self.codegen,
                     )
-                    if recorder is not None:
-                        recorder.attach(self.chase.result)
-                self._maintainer = recorder if not parallel else None
+                    if maintainer is not None:
+                        maintainer.attach(self.chase.result)
+                self._maintainer = maintainer
                 self.chase_builds += 1
                 if sp is not None:
+                    result = self.chase.result
                     sp.set("db_facts", len(self.database))
                     sp.set("chase_facts", len(self.chase.instance))
+                    sp.set("fired_triggers", result.fired_triggers)
+                    sp.set("rounds", result.rounds)
+                    sp.set(
+                        "provenance_entries",
+                        len(maintainer.log) if maintainer is not None else 0,
+                    )
                     sp.set("parallel", parallel)
                     if parallel:
                         sp.set("workers", self._worker_count())

@@ -1,12 +1,15 @@
 """The provenance-tracking delta chase: maintain ``ch^q_O(D)`` under updates.
 
-A :class:`ChaseMaintainer` doubles as the :class:`~repro.chase.standard.
-ChaseRecorder` of the initial chase run and as the mutation engine that
-keeps the chased instance valid afterwards.  During the run it captures,
-per fired trigger, the supporting body facts and the created facts/nulls
-(a *firing*), and, per suppressed trigger (body matched but head already
-satisfied), one satisfaction witness.  These records support both update
-directions:
+A :class:`ChaseMaintainer` owns the provenance of one chase run and is the
+mutation engine that keeps the chased instance valid afterwards.  The run
+itself only appends to the maintainer's log: the key of each suppressed
+trigger (body matched but head already satisfied), and the key, body match
+and head assignment of each fired one.  The DRed indexes are built from
+that log on the first delta that removes facts: per fired trigger, the
+supporting body facts and the created facts/nulls (a *firing*), and, per
+suppressed trigger, one satisfaction witness found again in the current
+instance.  A database that never deletes never pays for them.  The
+records support both update directions:
 
 * **Insertions** seed the existing semi-naive delta loop with only the new
   facts — cost proportional to the consequences of the delta.
@@ -48,11 +51,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.data.facts import Fact
-from repro.data.instance import Database, Instance
+from repro.data.instance import Database
 from repro.data.terms import Null, NullFactory, shared_null_factory
 from repro.chase.standard import (
     ChaseNotTerminating,
-    ChaseRecorder,
     ChaseResult,
     CompiledOntology,
     _delta_body_maps,
@@ -86,12 +88,17 @@ class Suppressed:
     witness_facts: tuple[Fact, ...]
 
 
-class ChaseMaintainer(ChaseRecorder):
+class ChaseMaintainer:
     """Provenance store plus delta-application engine for one chase.
 
-    Create it *before* the chase, pass it as the run's ``recorder``, then
-    :meth:`attach` the :class:`ChaseResult`; afterwards :meth:`apply` keeps
-    the chased instance in sync with database mutations.
+    Create it *before* the chase, pass its :attr:`log` as the run's
+    ``provenance``, then :meth:`attach` the :class:`ChaseResult`;
+    afterwards :meth:`apply` keeps the chased instance in sync with
+    database mutations.  The DRed indexes (:attr:`firings`,
+    :attr:`suppressed` and the fact-to-trigger inverted indexes) stay
+    empty until the first delta that removes facts builds them from the
+    log (:meth:`build_indexes`); insert-only deltas before that point
+    append to the log like the chase did.
     """
 
     def __init__(
@@ -109,6 +116,10 @@ class ChaseMaintainer(ChaseRecorder):
         self.max_rounds = max_rounds
         self.compiled: CompiledOntology = compile_ontology(ontology)
         self.result: ChaseResult | None = None
+        #: The append-only trigger log (see :func:`repro.chase.standard.
+        #: chase`), emptied once :meth:`build_indexes` has consumed it.
+        self.log: list = []
+        self.indexed = False
         self.firings: dict[tuple, Firing] = {}
         self.suppressed: dict[tuple, Suppressed] = {}
         # Inverted indexes: fact -> trigger keys that depend on it.
@@ -116,59 +127,97 @@ class ChaseMaintainer(ChaseRecorder):
         self._by_witness: dict[Fact, set[tuple]] = {}
         self._by_creation: dict[Fact, set[tuple]] = {}
         self._fired: set[tuple] = set()
-        # Placeholder until bind() hands over the chase run's own factory;
+        # Placeholder until attach() hands over the chase run's own factory;
         # drawing from the shared counter keeps labels process-unique even
         # if a delta is applied before any chase ran.
         self._fresh: NullFactory = shared_null_factory()
-        self._instance: Instance | None = None
-
-    # -- ChaseRecorder protocol -------------------------------------------
-
-    def bind(self, instance: Instance, fired: set[tuple], fresh: NullFactory) -> None:
-        self._instance = instance
-        self._fired = fired
-        self._fresh = fresh
-
-    def on_fire(
-        self,
-        tgd_index: int,
-        key: tuple,
-        frontier_map: dict[Variable, object],
-        body_facts: tuple[Fact, ...],
-        created_facts: tuple[Fact, ...],
-        created_nulls: tuple[Null, ...],
-    ) -> None:
-        self._record_firing(
-            key, Firing(tgd_index, frontier_map, body_facts, created_facts, created_nulls)
-        )
-
-    def on_suppress(
-        self,
-        tgd_index: int,
-        key: tuple,
-        frontier_map: dict[Variable, object],
-        witness_facts: tuple[Fact, ...],
-    ) -> None:
-        self._drop_suppressed(key)
-        self.suppressed[key] = Suppressed(tgd_index, frontier_map, witness_facts)
-        for fact in set(witness_facts):
-            self._by_witness.setdefault(fact, set()).add(key)
 
     def attach(self, result: ChaseResult) -> None:
-        """Adopt the finished chase run this maintainer recorded."""
-        if self._instance is not result.instance:
-            raise ValueError("maintainer was not the recorder of this chase run")
+        """Adopt the finished chase run that appended to :attr:`log`."""
+        if result.provenance is not self.log:
+            raise ValueError("maintainer's log was not the provenance of this chase run")
         self.result = result
+        self._fired = result.fired
+        self._fresh = result.instance.null_factory
 
     # -- bookkeeping helpers ----------------------------------------------
 
-    def _record_firing(self, key: tuple, firing: Firing) -> None:
+    def build_indexes(self) -> None:
+        """Turn the trigger log into the DRed indexes (idempotent).
+
+        A firing's support comes from its logged chase-time body match: a
+        match found now could rest on the firing's own products, which
+        would be circular.  A suppressed trigger's frontier is its key, and
+        its witness is found again in the current instance — sound because
+        that instance is a fixpoint that only grew since the trigger was
+        logged (it still holds the logged witness), and because nothing
+        depends on a suppressed trigger.
+        """
+        if self.indexed:
+            return
+        if self.result is None:
+            raise RuntimeError("maintainer has no attached chase result")
+        instance = self.result.instance
+        compiled = self.compiled
+        suppressed = self.suppressed
+        log = self.log
+        # Consumed from the end so each entry's maps are freed while the
+        # indexes grow.  Order does not matter: before the first deletion a
+        # key is logged as fired at most once, and never both fired and
+        # suppressed, because the instance only grows.
+        while log:
+            entry = log.pop()
+            if len(entry) == 3:
+                self._record_firing(*entry)
+                continue
+            if entry in suppressed:
+                continue  # re-examined in a later round: same witness
+            tgd_index, values = entry
+            frontier = dict(zip(compiled.frontier_orders[tgd_index], values))
+            witness = _head_witness(
+                compiled.head_queries[tgd_index], frontier, instance
+            )
+            assert witness is not None, "suppressed trigger lost its witness"
+            self._record_suppressed(entry, frontier, witness)
+        self.indexed = True
+
+    def _record_firing(
+        self,
+        key: tuple,
+        body_map: dict[Variable, object],
+        head_map: dict[Variable, object],
+    ) -> None:
         self._drop_suppressed(key)
+        tgd_index = key[0]
+        compiled = self.compiled
+        tgd = compiled.tgds[tgd_index]
+        firing = Firing(
+            tgd_index,
+            {v: head_map[v] for v in compiled.frontiers[tgd_index]},
+            tuple(atom.to_fact(body_map) for atom in tgd.body),
+            tuple(atom.to_fact(head_map) for atom in tgd.head),
+            tuple(head_map[v] for v in compiled.existentials[tgd_index]),
+        )
         self.firings[key] = firing
         for fact in set(firing.body_facts):
             self._by_support.setdefault(fact, set()).add(key)
         for fact in set(firing.created_facts):
             self._by_creation.setdefault(fact, set()).add(key)
+
+    def _record_suppressed(
+        self,
+        key: tuple,
+        frontier: dict[Variable, object],
+        witness: dict[Variable, object],
+    ) -> None:
+        self._drop_suppressed(key)
+        tgd_index = key[0]
+        witness_facts = tuple(
+            atom.to_fact(witness) for atom in self.compiled.tgds[tgd_index].head
+        )
+        self.suppressed[key] = Suppressed(tgd_index, frontier, witness_facts)
+        for fact in set(witness_facts):
+            self._by_witness.setdefault(fact, set()).add(key)
 
     def _drop_suppressed(self, key: tuple) -> None:
         entry = self.suppressed.pop(key, None)
@@ -216,9 +265,14 @@ class ChaseMaintainer(ChaseRecorder):
         chase-level delta, which downstream reduction maintenance consumes.
         Raises :class:`ChaseNotTerminating` when the insertion phase blows
         the fact/round budget — the caller must then rebuild from scratch.
+        The first call that removes facts builds the DRed indexes first
+        (:meth:`build_indexes`).
         """
         if self.result is None:
             raise RuntimeError("maintainer has no attached chase result")
+        removed = tuple(removed)
+        if removed:
+            self.build_indexes()
         instance = self.result.instance
         chase_added: set[Fact] = set()
 
@@ -316,16 +370,13 @@ class ChaseMaintainer(ChaseRecorder):
         assert self.result is not None
         instance = self.result.instance
         compiled = self.compiled
-        tgd = compiled.tgds[tgd_index]
         frontier_map = {v: body_map[v] for v in compiled.frontiers[tgd_index]}
         witness = _head_witness(compiled.head_queries[tgd_index], frontier_map, instance)
         if witness is not None:
-            self.on_suppress(
-                tgd_index,
-                key,
-                dict(frontier_map),
-                tuple(atom.to_fact(witness) for atom in tgd.head),
-            )
+            if self.indexed:
+                self._record_suppressed(key, frontier_map, witness)
+            else:
+                self.log.append(key)
             return
         trigger_depth = max(
             (self._depth_of(v) for v in frontier_map.values()), default=0
@@ -337,30 +388,20 @@ class ChaseMaintainer(ChaseRecorder):
                 return
         self._fired.add(key)
         head_map: dict[Variable, object] = dict(frontier_map)
-        created_nulls: list[Null] = []
         for variable in existentials:
             null = self._fresh()
             self.result.null_depth[null] = trigger_depth + 1
             head_map[variable] = null
-            created_nulls.append(null)
-        created_facts: list[Fact] = []
-        for atom in tgd.head:
+        for atom in compiled.tgds[tgd_index].head:
             product = atom.to_fact(head_map)
-            created_facts.append(product)
             if instance.add(product):
                 new_facts.append(product)
                 chase_added.add(product)
         self.result.fired_triggers += 1
-        self._record_firing(
-            key,
-            Firing(
-                tgd_index,
-                dict(frontier_map),
-                tuple(atom.to_fact(body_map) for atom in tgd.body),
-                tuple(created_facts),
-                tuple(created_nulls),
-            ),
-        )
+        if self.indexed:
+            self._record_firing(key, body_map, head_map)
+        else:
+            self.log.append((key, body_map, head_map))
         if len(instance) > self.max_facts:
             raise ChaseNotTerminating(f"chase exceeded {self.max_facts} facts")
 
@@ -388,12 +429,9 @@ class ChaseMaintainer(ChaseRecorder):
                         v: body_map[v] for v in compiled.frontiers[tgd_index]
                     }
                     # Key-compatible with the original run: same precompiled
-                    # variable order, same id encoding as the recorded keys.
+                    # variable order, same plain terms as the logged keys.
                     key = _trigger_key(
-                        tgd_index,
-                        frontier_map,
-                        compiled.frontier_orders[tgd_index],
-                        instance.interned,
+                        tgd_index, frontier_map, compiled.frontier_orders[tgd_index]
                     )
                     if key in self._fired:
                         continue

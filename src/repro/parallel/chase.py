@@ -168,7 +168,7 @@ def parallel_chase(
     result = ChaseResult(instance, base_constants, null_depth)
     fresh = instance.null_factory
     compiled = compile_ontology(ontology)
-    fired: set[tuple] = set()
+    fired = result.fired
     relation_ids: dict[str, int] = {}
     boundary_total = 0
 

@@ -62,6 +62,22 @@ class _Cancelled(Exception):
     """Internal: the worker thread observed the cancellation event."""
 
 
+def _payload_int(
+    payload: dict, name: str, default: int, minimum: int | None = None
+) -> int:
+    """A JSON body field that must be an integer, 400 on anything else.
+
+    JSON ``true`` and ``1.5`` are rejected too: ``bool`` is an ``int``
+    subclass and ``int()`` would silently truncate a float.
+    """
+    value = payload.get(name, default)
+    if type(value) is not int:
+        raise BadRequest(f"{name!r} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise BadRequest(f"{name!r} must be >= {minimum}, got {value}")
+    return value
+
+
 @dataclass
 class ServiceConfig:
     """Operational knobs of the query service (see ``docs/server.md``)."""
@@ -290,8 +306,8 @@ class QueryService:
             tenant = self.create_tenant(
                 name,
                 str(payload.get("workload", "university")),
-                size=int(payload.get("size", 300)),
-                seed=int(payload.get("seed", 0)),
+                size=_payload_int(payload, "size", 300, minimum=1),
+                seed=_payload_int(payload, "seed", 0),
             )
             return Response.json(tenant.info(), status=201)
         if request.method == "DELETE":

@@ -142,7 +142,7 @@ class TestBatch:
 
 def _maintained_chase(database, ontology, depth=None):
     maintainer = ChaseMaintainer(database, ontology, max_null_depth=depth)
-    result = chase(database, ontology, max_null_depth=depth, recorder=maintainer)
+    result = chase(database, ontology, max_null_depth=depth, provenance=maintainer.log)
     maintainer.attach(result)
     return maintainer, result
 
@@ -247,6 +247,142 @@ class TestChaseMaintainer:
         maintainer = ChaseMaintainer(database, ontology)
         with pytest.raises(RuntimeError):
             maintainer.apply([], [])
+
+
+def _index_sizes(maintainer):
+    return [
+        len(maintainer.firings),
+        len(maintainer.suppressed),
+        len(maintainer._by_support),
+        len(maintainer._by_witness),
+        len(maintainer._by_creation),
+    ]
+
+
+class TestDeferredProvenance:
+    """The chase only logs triggers; the DRed indexes wait for a deletion."""
+
+    ONTOLOGY = "A(x) -> B(x)\nB(x) -> C(x)"
+
+    def test_cold_build_logs_every_examined_trigger_and_indexes_nothing(self):
+        ontology = parse_ontology(self.ONTOLOGY)
+        database = Database([Fact("A", ("a",)), Fact("A", ("b",)), Fact("B", ("a",))])
+        maintainer, result = _maintained_chase(database, ontology)
+        # A(a) -> B(a) is suppressed (B(a) is a base fact); A(b) -> B(b),
+        # B(a) -> C(a) and B(b) -> C(b) fire.
+        assert result.fired_triggers == 3
+        suppressed = [entry for entry in maintainer.log if len(entry) == 2]
+        fired = [entry for entry in maintainer.log if len(entry) == 3]
+        assert len(maintainer.log) == 4
+        assert suppressed == [(0, ("a",))]
+        assert {entry[0] for entry in fired} == result.fired
+        assert not maintainer.indexed
+        assert _index_sizes(maintainer) == [0, 0, 0, 0, 0]
+
+    def test_insert_only_deltas_leave_indexes_unbuilt(self):
+        omq = university_omq()
+        database = generate_university_database(40, seed=4)
+        engine = QueryEngine(omq.ontology, database)
+        engine.execute(omq.query)
+        maintainer = engine._materialization(database)._maintainer
+        logged = len(maintainer.log)
+        for index in range(3):
+            database.add(Fact("HasAdvisor", (f"fresh{index}", f"prof{index}")))
+            database.add(Fact("WorksFor", (f"prof{index}", "dept0")))
+            warm = engine.execute(omq.query)
+            cold = QueryEngine(omq.ontology, database).execute(omq.query)
+            assert warm == cold
+        assert engine.stats.chase_increments == 3
+        assert not maintainer.indexed
+        assert _index_sizes(maintainer) == [0, 0, 0, 0, 0]
+        assert len(maintainer.log) > logged
+
+    def test_first_deletion_builds_indexes_once(self, monkeypatch):
+        builds = []
+        original = ChaseMaintainer.build_indexes
+
+        def counting(self):
+            if not self.indexed:
+                builds.append(len(self.log))
+            original(self)
+
+        monkeypatch.setattr(ChaseMaintainer, "build_indexes", counting)
+        omq = university_omq()
+        database = generate_university_database(40, seed=6)
+        engine = QueryEngine(omq.ontology, database)
+        engine.execute(omq.query)
+        maintainer = engine._materialization(database)._maintainer
+        database.add(Fact("HasAdvisor", ("fresh", "prof0")))
+        engine.execute(omq.query)
+        assert builds == []
+        for victim in sorted(database.relation("HasAdvisor"), key=repr)[:3]:
+            database.discard(victim)
+            warm = engine.execute(omq.query)
+            assert warm == QueryEngine(omq.ontology, database).execute(omq.query)
+        assert len(builds) == 1 and builds[0] > 0
+        assert maintainer.indexed and maintainer.log == []
+        assert maintainer.firings
+        assert engine.stats.chase_builds == 1
+
+    def test_refound_witness_differs_from_chase_time_witness(self):
+        ontology = parse_ontology("Researcher(x) -> HasOffice(x, y)")
+        chase_time = Fact("HasOffice", ("p", "o1"))
+        later = Fact("HasOffice", ("p", "o0"))
+        unrelated = Fact("Other", ("z",))
+        database = Database([Fact("Researcher", ("p",)), chase_time, unrelated])
+        maintainer, result = _maintained_chase(database, ontology, depth=3)
+        key = (0, ("p",))
+        assert maintainer.log == [key]  # suppressed by the chase-time office
+        database.add(later)
+        maintainer.apply([later], [])
+        # The witness search follows index-bucket order.  Re-adding the
+        # chase-time witness (what a DRed re-derive does to a fact) moves it
+        # behind the later office, so the first deletion finds another one.
+        result.instance.discard(chase_time)
+        result.instance.add(chase_time)
+        database.discard(unrelated)
+        maintainer.apply([], [unrelated])
+        assert maintainer.suppressed[key].witness_facts == (later,)
+        for victim in (later, chase_time):
+            database.discard(victim)
+            maintainer.apply([], [victim])
+            reference = chase(database, ontology, max_null_depth=3)
+            assert _certain_facts(result) == _certain_facts(reference)
+            assert bool(result.nulls()) == bool(reference.nulls())
+        offices = [f for f in result.instance if f.relation == "HasOffice"]
+        assert len(offices) == 1 and offices[0].has_null()
+
+    def test_firing_support_is_the_chase_time_body_match(self):
+        # R(a, b) -> S(a) -> R(a, a): R(a, a) is a second body match of
+        # the first firing, but one that rests on its own product.  The
+        # re-added base fact sits behind it in the index bucket, so a body
+        # match searched for at index-build time would pick the circular
+        # one and keep S(a) alive after R(a, b) is deleted.
+        ontology = parse_ontology("R(x, y) -> S(x)\nS(x) -> R(x, x)")
+        base = Fact("R", ("a", "b"))
+        database = Database([base])
+        maintainer, result = _maintained_chase(database, ontology)
+        assert Fact("R", ("a", "a")) in result.instance
+        result.instance.discard(base)
+        result.instance.add(base)
+        database.discard(base)
+        maintainer.apply([], [base])
+        assert _certain_facts(result) == _certain_facts(chase(database, ontology))
+        assert len(result.instance) == 0
+
+    def test_reinsert_with_present_consequences_fires_nothing(self):
+        # The chase and the maintainer's delta loop must build the same
+        # plain trigger keys: R(a, c) matches the already-fired trigger of
+        # R(a, b), so it is skipped without even being examined.
+        ontology = parse_ontology("R(x, y) -> S(x, z)")
+        database = Database([Fact("R", ("a", "b"))])
+        maintainer, result = _maintained_chase(database, ontology, depth=3)
+        fired, logged = result.fired_triggers, len(maintainer.log)
+        database.add(Fact("R", ("a", "c")))
+        delta = maintainer.apply([Fact("R", ("a", "c"))], [])
+        assert result.fired_triggers == fired
+        assert len(maintainer.log) == logged
+        assert delta.added == {Fact("R", ("a", "c"))}
 
 
 class TestReductionMaintenance:

@@ -214,6 +214,31 @@ class TestEngineTracing:
         assert enum.attributes["answers"] == len(answers)
         assert trace.open_spans() == []
 
+    def test_chase_span_counts_and_one_provenance_index_span(self):
+        scenario = get_workload(WORKLOAD).scenario(size=SIZE, seed=SEED)
+        database = scenario.database
+        engine = QueryEngine(scenario.ontology, database)
+        with start_trace("cold", store=None) as cold:
+            engine.execute(QUERY)
+        chase = next(s for s in cold.spans if s.name == "chase")
+        assert chase.attributes["fired_triggers"] > 0
+        assert chase.attributes["rounds"] >= 1
+        # One log entry per examined trigger: every fired one plus the
+        # suppressed ones.
+        assert chase.attributes["provenance_entries"] >= chase.attributes["fired_triggers"]
+        victims = sorted(database.relation("HasAdvisor"), key=repr)[:2]
+        with start_trace("deletes", store=None) as deletes:
+            for victim in victims:
+                database.discard(victim)
+                engine.execute(QUERY)
+        builds = [s for s in deletes.spans if s.name == "provenance_index"]
+        assert len(builds) == 1
+        parent = next(s for s in deletes.spans if s.span_id == builds[0].parent_id)
+        assert parent.name == "revalidate"
+        assert builds[0].attributes["firings"] == chase.attributes["fired_triggers"]
+        assert "suppressed" in builds[0].attributes
+        assert engine.stats.chase_builds == 1
+
     def test_hard_off_engine_stays_silent_inside_a_trace(self):
         engine = _engine(tracing=False)
         with start_trace("silent", store=None) as trace:

@@ -127,6 +127,34 @@ class TestRoutingAndQueries:
         assert dropped.status == 200
         assert "u" not in service.tenants
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"size": "abc"},
+            {"size": 1.5},
+            {"size": True},
+            {"size": None},
+            {"size": 0},
+            {"size": -5},
+            {"seed": "abc"},
+            {"seed": 1.5},
+            {"seed": True},
+        ],
+    )
+    def test_tenant_put_rejects_bad_size_and_seed(self, payload):
+        service = _service()
+
+        async def scenario():
+            return await service.handle(
+                _request("PUT", "/tenants/u", {"workload": WORKLOAD, **payload})
+            )
+
+        response = asyncio.run(scenario())
+        assert response.status == 400
+        (field,) = payload
+        assert field in _body(response)["error"]
+        assert "u" not in service.tenants
+
     def test_tenants_with_shared_ontology_share_plans(self):
         service = _service()
         service.create_tenant("t2", WORKLOAD, size=40, seed=4)
