@@ -1,9 +1,10 @@
 """E8 — Theorem 6.1 / Algorithm 2: multi-wildcard minimal partial answers.
 
 The library substitutes the paper's appendix all-tester A2 by a memoised
-homomorphism oracle (see DESIGN.md), so the delay of this enumerator is not
-guaranteed constant; the sweep makes the deviation visible by reporting the
-same delay statistics as E7 alongside the answer counts.  Correctness is
+homomorphism oracle (see docs/architecture.md#partial-answers), so the
+delay of this enumerator is not guaranteed constant; the sweep makes the
+deviation visible by reporting the same delay statistics as E7 alongside
+the answer counts.  Correctness is
 still exact: counts must match the naive materialise-and-minimise baseline.
 """
 
@@ -56,7 +57,8 @@ def test_e8_multiwildcard_enumeration(benchmark):
         title=(
             "E8  Multi-wildcard enumeration (Thm 6.1 / Algorithm 2); "
             f"preprocessing exponent = {preprocessing_exponent:.2f}; delay is "
-            "O(||D||) worst case due to the substituted A2 oracle (DESIGN.md)"
+            "O(||D||) worst case due to the substituted A2 oracle "
+            "(docs/architecture.md#partial-answers)"
         ),
     )
     assert preprocessing_exponent < 1.7

@@ -13,13 +13,14 @@ Our ``A2`` substitute (:class:`MultiWildcardOracle`) answers each distinct
 test by a homomorphism search over the chase with the wildcard pattern's
 equality constraints and memoises the result; the paper's appendix algorithm
 achieves O(1) per test after linear preprocessing, so the delay guarantee of
-our implementation is O(||D||) per answer in the worst case (documented in
-DESIGN.md), while the produced answer set is exactly ``Q(D)^W``.
+our implementation is O(||D||) per answer in the worst case (see
+docs/architecture.md#partial-answers), while the produced answer set is
+exactly ``Q(D)^W``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from repro.data.instance import Database, Instance
 from repro.data.terms import is_null
@@ -28,13 +29,17 @@ from repro.cq.homomorphism import all_homomorphisms
 from repro.cq.query import ConjunctiveQuery, QueryError
 from repro.core.omq import OMQ
 from repro.core.progress import PartialAnswerEnumerator
-from repro.core.wildcards import (
-    Wildcard,
-    ball,
-    cone,
-    minimal_multi_tuples,
-    strictly_less_informative_multi,
-)
+from repro.core.wildcards import Wildcard, cone_template
+
+
+class _Pattern(NamedTuple):
+    """The identified query of one equality pattern of candidates: the
+    answer variables of each wildcard group, and of each class of equal
+    constants, are replaced by one representative variable."""
+
+    query: ConjunctiveQuery
+    slot_variables: tuple[Variable, ...]
+    group_variables: tuple[Variable, ...]
 
 
 class MultiWildcardOracle:
@@ -43,48 +48,71 @@ class MultiWildcardOracle:
     A tuple ``āW`` belongs to ``q(I)^{W,⪯}_N`` iff some homomorphism of the
     query into the chase maps the constant positions to the given constants
     and the wildcard positions to labelled nulls whose equality pattern is
-    exactly the wildcard pattern.  Results are memoised so repeated tests of
-    the same tuple are O(1).
+    exactly the wildcard pattern.
+
+    The equality pattern of a candidate (which positions carry equal
+    constants, which carry the same wildcard) is compiled once into an
+    identified query (:class:`_Pattern`), so the search itself enforces the
+    equalities inside a wildcard group; a candidate is then one search with
+    its constants bound that stops at the first homomorphism mapping the
+    group variables to pairwise distinct nulls.  A pattern that gives one
+    answer variable two labels (a constant and a wildcard, two different
+    constants or two different wildcards), or whose length is not the
+    query's arity, has no such homomorphism.  Results
+    are memoised per candidate, so repeated tests of the same tuple are O(1).
     """
 
     def __init__(self, query: ConjunctiveQuery, instance: Instance) -> None:
         self.query = query
         self.instance = instance
         self._cache: dict[tuple, bool] = {}
+        self._patterns: dict[tuple, _Pattern | None] = {}
+
+    def _compile(self, labels: tuple) -> _Pattern | None:
+        """The identified query of a pattern; a label is a constant slot
+        (``>= 0``) or a wildcard (``-k`` for ``*k``)."""
+        if len(labels) != self.query.arity:
+            return None
+        label_of: dict[Variable, int] = {}
+        for variable, label in zip(self.query.answer_variables, labels):
+            if label_of.setdefault(variable, label) != label:
+                return None
+        representative: dict[int, Variable] = {}
+        renaming = {
+            variable: representative.setdefault(label, variable)
+            for variable, label in label_of.items()
+        }
+        identified = ConjunctiveQuery(
+            list(representative.values()),
+            [atom.substitute(renaming) for atom in self.query.atoms],
+            name=self.query.name,
+        )
+        return _Pattern(
+            identified,
+            tuple(representative[label] for label in sorted(representative) if label >= 0),
+            tuple(variable for label, variable in representative.items() if label < 0),
+        )
 
     def _check(self, candidate: tuple) -> bool:
-        partial: dict[Variable, object] = {}
-        groups: dict[Wildcard, list[int]] = {}
-        for position, value in enumerate(candidate):
-            variable = self.query.answer_variables[position]
-            if isinstance(value, Wildcard):
-                groups.setdefault(value, []).append(position)
-            else:
-                if variable in partial and partial[variable] != value:
-                    return False
-                partial[variable] = value
-        group_variables: dict[Wildcard, list[Variable]] = {
-            wildcard: [self.query.answer_variables[p] for p in positions]
-            for wildcard, positions in groups.items()
-        }
-        for homomorphism in all_homomorphisms(self.query, self.instance, partial):
-            values = {}
-            consistent = True
-            for wildcard, variables in group_variables.items():
-                group_values = {homomorphism[v] for v in variables}
-                if len(group_values) != 1:
-                    consistent = False
-                    break
-                value = group_values.pop()
-                if not is_null(value):
-                    consistent = False
-                    break
-                values[wildcard] = value
-            if not consistent:
-                continue
-            if len(set(values.values())) != len(values):
-                continue  # distinct wildcards must denote distinct nulls
-            return True
+        slots: dict[object, int] = {}
+        labels = tuple(
+            -value.index
+            if isinstance(value, Wildcard)
+            else slots.setdefault(value, len(slots))
+            for value in candidate
+        )
+        if labels in self._patterns:
+            pattern = self._patterns[labels]
+        else:
+            pattern = self._patterns[labels] = self._compile(labels)
+        if pattern is None:
+            return False
+        partial = dict(zip(pattern.slot_variables, slots))
+        group_variables = pattern.group_variables
+        for homomorphism in all_homomorphisms(pattern.query, self.instance, partial):
+            values = {homomorphism[variable] for variable in group_variables}
+            if len(values) == len(group_variables) and all(map(is_null, values)):
+                return True
         return False
 
     def test(self, candidate: Sequence) -> bool:
@@ -113,38 +141,39 @@ class MultiWildcardEnumerator:
         return self._single.is_empty()
 
     def enumerate(self) -> Iterator[tuple]:
-        """Yield exactly the minimal partial answers with multi-wildcards."""
+        """Yield exactly the minimal partial answers with multi-wildcards.
+
+        The cone of each single-wildcard answer comes from its shape's
+        :class:`~repro.core.wildcards.ConeTemplate`; its members are visited
+        more informative first, so a member dominated by an admitted one is
+        marked before it would be tested, and the first ball member that
+        passes the oracle is ``≺``-minimal among those that do.
+        """
         marked: set[tuple] = set()
         pending: dict[tuple, None] = {}
+        test = self._oracle.test
 
         for single_answer in self._single.enumerate():
-            cone_members = cone(single_answer)
-            admitted = []
-            for candidate in sorted(cone_members, key=repr):
+            template = cone_template(single_answer)
+            members = template.members(single_answer)
+            for candidate, dominated in zip(members, template.dominated):
                 if candidate in marked:
                     continue
-                if not self._oracle.test(candidate):
-                    marked.add(candidate)
-                    continue
                 marked.add(candidate)
+                if not test(candidate):
+                    continue
                 pending[candidate] = None
-                admitted.append(candidate)
-                for dominated in strictly_less_informative_multi(candidate):
-                    marked.add(dominated)
-                    pending.pop(dominated, None)
+                for index in dominated:
+                    weaker = members[index]
+                    marked.add(weaker)
+                    pending.pop(weaker, None)
 
-            ball_members = [
-                candidate
-                for candidate in ball(single_answer)
-                if self._oracle.test(candidate)
-            ]
-            chosen = None
-            for candidate in sorted(minimal_multi_tuples(ball_members), key=repr):
-                chosen = candidate
-                break
-            if chosen is not None:
-                yield chosen
-                pending.pop(chosen, None)
+            for index in template.ball:
+                chosen = members[index]
+                if test(chosen):
+                    yield chosen
+                    pending.pop(chosen, None)
+                    break
 
         yield from pending
 

@@ -20,7 +20,7 @@ current one unreachable, so that only minimal partial answers are produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator
 
 from repro.data.instance import Database, Instance
@@ -55,6 +55,14 @@ class ProgressTree:
 
     def star_count(self) -> int:
         return sum(1 for _, value in self.assignment if value is WILDCARD)
+
+    def star_mask(self) -> int:
+        """Bit ``i`` is set iff the ``i``-th variable (by name) maps to ``*``."""
+        return sum(
+            1 << position
+            for position, (_, value) in enumerate(self.assignment)
+            if value is WILDCARD
+        )
 
     def sort_key(self) -> tuple[int, int]:
         """A linear extension of the database-preferring order ``≺db``."""
@@ -117,10 +125,20 @@ class _TreeList:
 
 @dataclass(frozen=True)
 class _Subtree:
-    """A connected subtree of the block join tree (root plus atom set)."""
+    """A connected subtree of the block join tree (root plus atom set).
+
+    ``variables`` are the variables of its atoms sorted by name (the order of
+    a progress tree's ``assignment``), ``pred_positions`` the indexes of the
+    root's predecessor variables among them and ``star_masks`` the
+    :meth:`ProgressTree.star_mask` values of the progress trees with this
+    root and atom set (at most ``2 ** len(variables)`` of them).
+    """
 
     root: Atom
     atoms: frozenset[Atom]
+    variables: tuple[Variable, ...]
+    pred_positions: tuple[int, ...]
+    star_masks: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +167,7 @@ class PartialAnswerEnumerator:
         self._trees: dict[tuple, _TreeList] = {}
         self._locator: dict[tuple, _TreeNode] = {}
         self._subtrees: list[_Subtree] = []
+        self._star_masks: dict[tuple[Atom, frozenset[Atom]], set[int]] = {}
         if not self.reduced.is_empty and self.reduced.join_tree is not None:
             self._prepare_structure()
             self._build_progress_trees()
@@ -241,6 +260,9 @@ class PartialAnswerEnumerator:
                 for tree in ordered:
                     node = tree_list.append(tree)
                     self._locator[(key, tree.atoms, tree.assignment)] = node
+                    self._star_masks.setdefault((atom, tree.atoms), set()).add(
+                        tree.star_mask()
+                    )
 
     def _enumerate_subtrees(self) -> None:
         """All connected subtrees of the block join tree (data independent)."""
@@ -262,7 +284,23 @@ class PartialAnswerEnumerator:
 
         for atom in self._preorder:
             for atoms in rooted_at(atom):
-                self._subtrees.append(_Subtree(root=atom, atoms=atoms))
+                variables: set[Variable] = set()
+                for member in atoms:
+                    variables.update(self.reduced.relations[member].variables)
+                ordered = tuple(sorted(variables, key=lambda v: v.name))
+                self._subtrees.append(
+                    _Subtree(
+                        root=atom,
+                        atoms=atoms,
+                        variables=ordered,
+                        pred_positions=tuple(
+                            ordered.index(x) for x in self._pred_vars[atom]
+                        ),
+                        star_masks=tuple(
+                            sorted(self._star_masks.get((atom, atoms), ()))
+                        ),
+                    )
+                )
 
     # -- enumeration ----------------------------------------------------------
 
@@ -283,35 +321,43 @@ class PartialAnswerEnumerator:
         return None
 
     def _prune(self, assignment: dict[Variable, object]) -> None:
+        """Remove every progress tree strictly more wildcarded than a part of
+        the complete ``assignment`` just emitted.
+
+        For each subtree whose root has constant predecessors, the candidates
+        are the assignment restricted to the subtree with a non-empty subset
+        of its constant positions replaced by ``*``; only the subsets that
+        give the star mask of some progress tree of the subtree are looked up.
+        """
         for subtree in self._subtrees:
-            pred = self._pred_vars[subtree.root]
-            if any(assignment.get(x) is WILDCARD or x not in assignment for x in pred):
+            if not subtree.star_masks:
                 continue
-            pred_key = tuple(assignment[x] for x in pred)
+            values = tuple([assignment[variable] for variable in subtree.variables])
+            pred_key = tuple([values[i] for i in subtree.pred_positions])
+            if any(value is WILDCARD for value in pred_key):
+                continue
             list_key = (subtree.root, pred_key)
-            if list_key not in self._trees:
+            tree_list = self._trees.get(list_key)
+            if tree_list is None:
                 continue
-            variables: set[Variable] = set()
-            for atom in subtree.atoms:
-                variables |= set(self.reduced.relations[atom].variables)
-            if any(variable not in assignment for variable in variables):
-                continue
-            base = {variable: assignment[variable] for variable in variables}
-            non_star = sorted(
-                (v for v in variables if base[v] is not WILDCARD),
-                key=lambda v: v.name,
-            )
-            for size in range(1, len(non_star) + 1):
-                for chosen in combinations(non_star, size):
-                    candidate = dict(base)
-                    for variable in chosen:
-                        candidate[variable] = WILDCARD
-                    frozen = tuple(
-                        sorted(candidate.items(), key=lambda item: item[0].name)
-                    )
-                    node = self._locator.get((list_key, subtree.atoms, frozen))
-                    if node is not None and not node.removed:
-                        self._trees[list_key].remove(node)
+            stars = 0
+            for position, value in enumerate(values):
+                if value is WILDCARD:
+                    stars |= 1 << position
+            for mask in subtree.star_masks:
+                if mask & stars != stars or mask == stars:
+                    continue
+                frozen = tuple(
+                    [
+                        (variable, WILDCARD if mask >> position & 1 else value)
+                        for position, (variable, value) in enumerate(
+                            zip(subtree.variables, values)
+                        )
+                    ]
+                )
+                node = self._locator.get((list_key, subtree.atoms, frozen))
+                if node is not None and not node.removed:
+                    tree_list.remove(node)
 
     def enumerate(self) -> Iterator[tuple]:
         """Yield exactly the minimal partial answers, without repetition."""

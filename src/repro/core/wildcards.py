@@ -10,12 +10,15 @@ null and distinct wildcards may or may not.  This module provides
 * conversion of answer tuples over the chase (which contain labelled nulls)
   into (multi-)wildcard tuples, and
 * the *balls* and *cones* of Section 6 used by the multi-wildcard
-  enumeration algorithm.
+  enumeration algorithm: the ``reference_*`` recursive definitions, and
+  :func:`ball`, :func:`cone`, :func:`strictly_less_informative_multi` and
+  :func:`cone_template`, which compute them once per tuple *shape*.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -215,7 +218,7 @@ def set_partitions(items: Sequence) -> Iterator[list[list]]:
         yield [[first]] + partition
 
 
-def ball(candidate: Sequence) -> set[tuple]:
+def reference_ball(candidate: Sequence) -> set[tuple]:
     """``B^W(ā*)``: multi-wildcard tuples that collapse to the given
     single-wildcard tuple.
 
@@ -234,7 +237,7 @@ def ball(candidate: Sequence) -> set[tuple]:
     return result
 
 
-def cone(candidate: Sequence) -> set[tuple]:
+def reference_cone(candidate: Sequence) -> set[tuple]:
     """``cone^W(ā*)``: the union of the balls of all ``b̄* ⪰ ā*``."""
     candidate = tuple(candidate)
     constant_positions = [
@@ -246,11 +249,11 @@ def cone(candidate: Sequence) -> set[tuple]:
             weakened = list(candidate)
             for position in promoted:
                 weakened[position] = WILDCARD
-            result |= ball(weakened)
+            result |= reference_ball(weakened)
     return result
 
 
-def strictly_less_informative_multi(candidate: Sequence) -> set[tuple]:
+def reference_strictly_less_informative_multi(candidate: Sequence) -> set[tuple]:
     """All normalized multi-wildcard tuples ``b̄`` with ``candidate ≺ b̄``.
 
     Used by the pruning step of Algorithm 2; the count depends only on the
@@ -259,7 +262,139 @@ def strictly_less_informative_multi(candidate: Sequence) -> set[tuple]:
     candidate = tuple(candidate)
     result: set[tuple] = set()
     single = multi_to_single(candidate)
-    for weaker in cone(single):
+    for weaker in reference_cone(single):
         if lt_multi(candidate, weaker):
             result.add(weaker)
     return result
+
+
+# ---------------------------------------------------------------------------
+# Shape templates: balls and cones computed once per shape
+# ---------------------------------------------------------------------------
+#
+# The reference definitions above compare values only by equality and by
+# wildcard identity, so their result for a tuple is determined by its
+# *shape*: each constant replaced by the slot of its value (numbered by first
+# occurrence, equal constants share a slot), wildcards kept.  They are run
+# once per shape, and each result member is stored as a *mask* that keeps the
+# tuple's own constant (``None``) or places a wildcard at every position.
+# Instantiating a mask is one pass over the tuple; the caches are keyed by
+# shape, so their size is bounded by the arity, never by the data.
+
+
+def shape(candidate: Sequence) -> tuple:
+    """The data-independent shape of a (multi-)wildcard tuple.
+
+    Constants become integer slots numbered by the first occurrence of their
+    value; ``*`` and ``*k`` stay as they are.
+    """
+    slots: dict = {}
+    return tuple(
+        value
+        if value is WILDCARD or isinstance(value, Wildcard)
+        else slots.setdefault(value, len(slots))
+        for value in candidate
+    )
+
+
+def _instantiate(candidate: tuple, mask: tuple) -> tuple:
+    return tuple(
+        value if wildcard is None else wildcard
+        for value, wildcard in zip(candidate, mask)
+    )
+
+
+def _informativeness(mask: tuple) -> tuple:
+    """A sort key that is a linear extension of ``≺`` on one shape's members:
+    fewer wildcard positions first, then fewer distinct wildcards (splitting
+    a wildcard group forgets an equality)."""
+    wildcards = [value for value in mask if value is not None]
+    return (
+        len(wildcards),
+        len(set(wildcards)),
+        tuple(0 if value is None else value.index for value in mask),
+    )
+
+
+def _masks(key: tuple, members: Iterable[tuple]) -> tuple[tuple, ...]:
+    masks = []
+    for member in members:
+        mask = tuple(value if is_wildcard(value) else None for value in member)
+        assert all(
+            value == slot for value, slot, wild in zip(member, key, mask) if wild is None
+        ), "a shape member moved a constant"
+        masks.append(mask)
+    return tuple(sorted(masks, key=_informativeness))
+
+
+@cache
+def _ball_masks(key: tuple) -> tuple[tuple, ...]:
+    return _masks(key, reference_ball(key))
+
+
+@cache
+def _cone_masks(key: tuple) -> tuple[tuple, ...]:
+    return _masks(key, reference_cone(key))
+
+
+@cache
+def _weaker_masks(key: tuple) -> tuple[tuple, ...]:
+    return _masks(key, reference_strictly_less_informative_multi(key))
+
+
+class ConeTemplate:
+    """``cone^W`` of one single-wildcard shape, compiled for Algorithm 2.
+
+    * ``masks`` — the cone members, ordered by a linear extension of ``≺``:
+      a member comes before every member it is more informative than;
+    * ``dominated[i]`` — the indices of the members strictly less informative
+      than member ``i`` (all of them lie in the same cone);
+    * ``ball`` — the indices of the ball members, in the same order.
+    """
+
+    __slots__ = ("masks", "dominated", "ball")
+
+    def __init__(self, key: tuple) -> None:
+        self.masks = _cone_masks(key)
+        index = {mask: position for position, mask in enumerate(self.masks)}
+        self.dominated = tuple(
+            tuple(
+                index[weaker]
+                for weaker in _weaker_masks(shape(_instantiate(key, mask)))
+            )
+            for mask in self.masks
+        )
+        self.ball = tuple(index[mask] for mask in _ball_masks(key))
+
+    def members(self, candidate: tuple) -> list[tuple]:
+        """The cone members of ``candidate``, which must have this shape."""
+        return [_instantiate(candidate, mask) for mask in self.masks]
+
+
+@cache
+def _cone_template(key: tuple) -> ConeTemplate:
+    return ConeTemplate(key)
+
+
+def cone_template(candidate: Sequence) -> ConeTemplate:
+    """The compiled cone of ``candidate``'s shape (built on first use)."""
+    return _cone_template(shape(candidate))
+
+
+def ball(candidate: Sequence) -> set[tuple]:
+    """:func:`reference_ball`, computed once per shape."""
+    candidate = tuple(candidate)
+    return {_instantiate(candidate, mask) for mask in _ball_masks(shape(candidate))}
+
+
+def cone(candidate: Sequence) -> set[tuple]:
+    """:func:`reference_cone`, computed once per shape."""
+    candidate = tuple(candidate)
+    return {_instantiate(candidate, mask) for mask in _cone_masks(shape(candidate))}
+
+
+def strictly_less_informative_multi(candidate: Sequence) -> set[tuple]:
+    """:func:`reference_strictly_less_informative_multi`, computed once per
+    shape."""
+    candidate = tuple(candidate)
+    return {_instantiate(candidate, mask) for mask in _weaker_masks(shape(candidate))}

@@ -52,7 +52,7 @@ from repro.obs.prometheus import render_prometheus
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import TRACES, start_trace
 from repro.server.http import BadRequest, Request, Response
-from repro.workloads import get_workload
+from repro.workloads import get_workload, list_workloads
 
 class QueryTimeout(Exception):
     """An enumeration exceeded the per-query timeout and was cancelled."""
@@ -88,6 +88,8 @@ class ServiceConfig:
     query_timeout: float = 10.0
     page_size: int = 100
     max_page_size: int = 10_000
+    #: Largest ``size`` a ``PUT /tenants/{name}`` body may ask for.
+    max_tenant_size: int = 100_000
     max_cursors: int = 64
     drain_timeout: float = 5.0
     plan_cache_size: int = 256
@@ -189,13 +191,28 @@ class QueryService:
     # -- tenant management -------------------------------------------------
 
     def create_tenant(
-        self, name: str, workload: str, size: int = 300, seed: int = 0
+        self,
+        name: str,
+        workload: str,
+        size: int = 300,
+        seed: int = 0,
+        *,
+        _registry_only: bool = False,
     ) -> Tenant:
-        """Provision a named database from a workload (registry name or path)."""
+        """Provision a named database from a workload (registry name or path).
+
+        ``_registry_only`` is set by the HTTP route: a client may name only
+        registered workloads, never a path on the server's filesystem.
+        """
         if not name or "/" in name:
             raise BadRequest(f"invalid tenant name {name!r}")
         if name in self._tenants:
             raise BadRequest(f"tenant {name!r} already exists", status=409)
+        if _registry_only and workload not in list_workloads():
+            known = ", ".join(list_workloads())
+            raise BadRequest(
+                f"unknown workload {workload!r}: not a registered name ({known})"
+            )
         try:
             scenario = get_workload(workload).scenario(size=size, seed=seed)
         except ValueError as exc:
@@ -303,11 +320,17 @@ class QueryService:
             if self.draining:
                 return self._unavailable()
             payload = request.json()
+            size = _payload_int(payload, "size", 300, minimum=1)
+            if size > self.config.max_tenant_size:
+                raise BadRequest(
+                    f"'size' exceeds max_tenant_size={self.config.max_tenant_size}"
+                )
             tenant = self.create_tenant(
                 name,
                 str(payload.get("workload", "university")),
-                size=_payload_int(payload, "size", 300, minimum=1),
+                size=size,
                 seed=_payload_int(payload, "seed", 0),
+                _registry_only=True,
             )
             return Response.json(tenant.info(), status=201)
         if request.method == "DELETE":

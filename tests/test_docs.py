@@ -2,7 +2,8 @@
 
 Three rot detectors:
 
-* every intra-repo Markdown link in README.md and docs/ resolves (same
+* every intra-repo Markdown link in README.md and docs/ resolves, and so
+  does every ``*.md`` file cited in ``src/`` and ``benchmarks/`` (same
   check as ``tools/check_docs.py`` and the docs CI job);
 * every CLI flag of every ``repro`` subcommand is documented in
   ``docs/cli.md``, so the parser cannot grow options the docs don't know;
@@ -31,6 +32,27 @@ import check_docs  # noqa: E402  (repo tools/ is not a package)
 def test_markdown_links_resolve():
     problems = check_docs.check_all(REPO_ROOT)
     assert not problems, "broken documentation links:\n" + "\n".join(problems)
+
+
+def test_cited_markdown_files_must_resolve(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "guide.md").write_text("# Guide\n\n## Partial answers\n")
+    (tmp_path / "README.md").write_text("# Readme\n")
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "module.py").write_text(
+        '"""See docs/guide.md, guide.md#partial-answers and README.md.\n\n'
+        "Design notes live in DESIGN.md; see also docs/guide.md#no-such-heading\n"
+        'and https://example.org/REMOTE.md, which is not checked.\n"""\n'
+    )
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "bench_x.py").write_text("# table title: notes.md\n")
+    problems = check_docs.check_all(tmp_path)
+    assert sorted(problems) == [
+        "benchmarks/bench_x.py:1: cites missing Markdown file notes.md",
+        "src/pkg/module.py:3: cites missing Markdown file DESIGN.md",
+        "src/pkg/module.py:3: cites missing anchor #no-such-heading in docs/guide.md",
+    ]
 
 
 def test_docs_pages_exist():

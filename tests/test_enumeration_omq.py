@@ -16,10 +16,16 @@ from repro.core import (
     CompleteAnswerEnumerator,
     MinimalPartialAnswerEnumerator,
     MultiWildcardEnumerator,
+    MultiWildcardOracle,
     Wildcard,
 )
 from repro.core.progress import PartialAnswerEnumerator
+from repro.core.wildcards import cone, collapse_nulls_multi, normalize_multi
+from repro.cq.homomorphism import evaluate
+from repro.data import Instance
+from repro.data.terms import Null
 from repro.workloads import (
+    generate_office_database,
     generate_university_database,
     office_omq,
     university_omq,
@@ -197,11 +203,84 @@ class TestMultiWildcardEnumeration:
             assert len(got) == len(set(got))
             assert set(got) == naive_minimal_partial_answers_multi(office_omq, database)
 
+    def test_emits_the_most_informative_ball_member(self):
+        """Both ``(a, *1, *1)`` and ``(a, *1, *2)`` are partial answers in the
+        ball of ``(a, *, *)``; only the first is minimal."""
+        ontology = parse_ontology(
+            "A(x) -> R(x, y), S(x, y)\nB(x) -> S(x, y), D(y)"
+        )
+        query = parse_query("q(x, y1, y2) :- R(x, y1), S(x, y2)")
+        omq = OMQ.from_parts(ontology, query, name="two_ball_members")
+        database = Database([Fact("A", ("a",)), Fact("B", ("a",))])
+        got = list(MultiWildcardEnumerator(omq, database))
+        assert got == [("a", Wildcard(1), Wildcard(1))]
+        assert set(got) == naive_minimal_partial_answers_multi(omq, database)
+
     def test_university_workload(self):
         omq = university_omq()
         database = generate_university_database(25, seed=3)
         got = set(MultiWildcardEnumerator(omq, database))
         assert got == naive_minimal_partial_answers_multi(omq, database)
+
+
+class TestMultiWildcardOracle:
+    """The identified-query oracle against answers over the chase."""
+
+    @staticmethod
+    def _collapsed(query, instance) -> set[tuple]:
+        return {collapse_nulls_multi(answer) for answer in evaluate(query, instance)}
+
+    @pytest.mark.parametrize(
+        "omq, database",
+        [
+            (university_omq(), generate_university_database(200, seed=0)),
+            (office_omq(), generate_office_database(200, seed=0)),
+        ],
+        ids=["university-200", "office-200"],
+    )
+    def test_matches_answers_over_the_chase(self, omq, database):
+        instance = omq.chase(database).instance
+        expected = self._collapsed(omq.query, instance)
+        oracle = MultiWildcardOracle(omq.query, instance)
+        tested = 0
+        for single in MinimalPartialAnswerEnumerator(omq, database):
+            for candidate in cone(single):
+                assert oracle.test(candidate) == (candidate in expected), candidate
+                tested += 1
+        assert tested > 1000
+
+    def test_wildcard_groups_that_only_meet_in_one_null(self):
+        query = parse_query("q(x, y1, y2) :- R(x, y1), R(x, y2)")
+        oracle = MultiWildcardOracle(query, Instance([Fact("R", ("a", Null(1)))]))
+        assert not oracle.test(("a", Wildcard(1), Wildcard(2)))
+        assert oracle.test(("a", Wildcard(1), Wildcard(1)))
+
+    def test_repeated_answer_variable(self):
+        query = parse_query("q(x, x, y) :- R(x, y)")
+        instance = Instance(
+            [
+                Fact("R", ("a", Null(1))),
+                Fact("R", (Null(2), "b")),
+                Fact("R", ("b", "b")),
+                Fact("R", (Null(3), Null(3))),
+            ]
+        )
+        oracle = MultiWildcardOracle(query, instance)
+        expected = self._collapsed(query, instance)
+        values = ["a", "b", Wildcard(1), Wildcard(2), Wildcard(3)]
+        candidates = {
+            normalize_multi((first, second, third))
+            for first in values
+            for second in values
+            for third in values
+        }
+        for candidate in candidates:
+            assert oracle.test(candidate) == (candidate in expected), candidate
+        assert oracle.test(("a", "a", Wildcard(1)))
+        assert not oracle.test(("a", "b", Wildcard(1)))
+        assert not oracle.test((Wildcard(1), Wildcard(2), "b"))
+        assert not oracle.test(("a", Wildcard(1), Wildcard(1)))
+        assert oracle.test((Wildcard(1), Wildcard(1), Wildcard(1)))
 
 
 class TestCQLevelPartialEnumerator:

@@ -27,7 +27,7 @@ from repro.server import (
     serve,
 )
 from repro.server.service import _Cancelled
-from repro.workloads import get_workload
+from repro.workloads import get_workload, list_workloads
 
 WORKLOAD = "university"
 SIZE = 60
@@ -154,6 +154,81 @@ class TestRoutingAndQueries:
         (field,) = payload
         assert field in _body(response)["error"]
         assert "u" not in service.tenants
+
+    def test_tenant_put_rejects_filesystem_paths(self, tmp_path, monkeypatch):
+        planted = tmp_path / "planted"
+        planted.mkdir()
+        (planted / "rules.dlgp").write_text("@queries\n?(X) :- Secret(X).\n")
+        (planted / "Secret.csv").write_text("leaked\n")
+        service = _service()
+        loaded = []
+        monkeypatch.setattr(
+            "repro.workloads.registry.load_scenario",
+            lambda *args, **kwargs: loaded.append(args) or None,
+        )
+
+        async def scenario():
+            return [
+                await service.handle(
+                    _request("PUT", f"/tenants/{name}", {"workload": workload})
+                )
+                for name, workload in (
+                    ("dir", str(planted)),
+                    ("rules", str(planted / "rules.dlgp")),
+                    ("data", str(planted / "Secret.csv")),
+                )
+            ]
+
+        for response in asyncio.run(scenario()):
+            assert response.status == 400
+            assert "not a registered name" in _body(response)["error"]
+        assert loaded == []
+        assert sorted(service.tenants) == ["t"]
+
+    def test_operator_tenants_still_accept_paths(self, tmp_path):
+        planted = tmp_path / "planted"
+        planted.mkdir()
+        (planted / "rules.dlgp").write_text(
+            "@rules\nA(X) -> B(X).\n@queries\n?(X) :- B(X).\n"
+        )
+        (planted / "A.csv").write_text("a1\na2\n")
+        service = _service()
+        tenant = service.create_tenant("files", str(planted))
+        assert tenant.name in service.tenants
+
+    @pytest.mark.parametrize("workload", ["university", "office", "demo"])
+    def test_tenant_put_accepts_registry_names(self, workload):
+        if workload not in list_workloads():
+            pytest.skip(f"{workload!r} is registered only in a source checkout")
+        service = _service()
+
+        async def scenario():
+            return await service.handle(
+                _request("PUT", "/tenants/u", {"workload": workload, "size": 20})
+            )
+
+        response = asyncio.run(scenario())
+        assert response.status == 201
+        assert _body(response)["workload"]["workload"] == workload
+        assert "u" in service.tenants
+
+    @pytest.mark.parametrize("size, status", [(100, 201), (101, 400), (10**9, 400)])
+    def test_tenant_put_caps_size(self, size, status):
+        service = _service(max_tenant_size=100)
+
+        async def scenario():
+            return await service.handle(
+                _request("PUT", "/tenants/u", {"workload": WORKLOAD, "size": size})
+            )
+
+        response = asyncio.run(scenario())
+        assert response.status == status
+        if status == 400:
+            assert "max_tenant_size=100" in _body(response)["error"]
+            assert "u" not in service.tenants
+
+    def test_default_tenant_size_cap_admits_benchmark_sizes(self):
+        assert ServiceConfig().max_tenant_size >= 40_000
 
     def test_tenants_with_shared_ontology_share_plans(self):
         service = _service()

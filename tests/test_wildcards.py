@@ -10,6 +10,7 @@ from repro.core.wildcards import (
     collapse_nulls,
     collapse_nulls_multi,
     cone,
+    cone_template,
     is_normalized_multi,
     is_wildcard,
     leq_multi,
@@ -20,7 +21,11 @@ from repro.core.wildcards import (
     minimal_partial_tuples,
     multi_to_single,
     normalize_multi,
+    reference_ball,
+    reference_cone,
+    reference_strictly_less_informative_multi,
     set_partitions,
+    shape,
     strictly_less_informative_multi,
     wildcard_positions,
 )
@@ -210,3 +215,60 @@ def test_minimal_partial_tuples_are_minimal_and_cover(tuples):
         assert not any(lt_partial(other, candidate) for other in pool)
     for candidate in pool:
         assert any(leq_partial(m, candidate) for m in minimal)
+
+
+# -- shape templates ------------------------------------------------------------
+
+_shape_values = st.sampled_from(
+    ["a", "b", "c", 1, WILDCARD, Wildcard(1), Wildcard(2), Wildcard(3)]
+)
+_shape_tuples = st.lists(_shape_values, max_size=4).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shape_tuples)
+def test_compiled_balls_and_cones_equal_the_reference(candidate):
+    """Property: the per-shape templates reproduce the recursive definitions
+    on tuples mixing repeated constants, ``*`` and numbered wildcards."""
+    assert ball(candidate) == reference_ball(candidate)
+    assert cone(candidate) == reference_cone(candidate)
+    assert strictly_less_informative_multi(
+        candidate
+    ) == reference_strictly_less_informative_multi(candidate)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_shape_tuples.map(multi_to_single))
+def test_cone_template_orders_and_dominance(candidate):
+    """Property: a template lists every cone member once, more informative
+    members first, with the dominated indexes and ball of the reference."""
+    template = cone_template(candidate)
+    members = template.members(candidate)
+    assert set(members) == reference_cone(candidate)
+    assert len(members) == len(set(members))
+    for i, member in enumerate(members):
+        weaker = {members[j] for j in template.dominated[i]}
+        assert weaker == reference_strictly_less_informative_multi(member)
+        assert all(i < j for j in template.dominated[i])
+    assert {members[i] for i in template.ball} == reference_ball(candidate)
+
+
+def test_repeated_constant_shares_a_slot():
+    assert shape(("a", "a", WILDCARD)) == (0, 0, WILDCARD)
+    assert shape(("b", "a", "b")) == (0, 1, 0)
+    assert shape(("a", Wildcard(1), "a")) == (0, Wildcard(1), 0)
+
+
+def test_repeated_constant_dominance():
+    """``(a, a, *)``: the repeated constant makes ``(*1, *1, *2)`` dominate
+    ``(a, a, *1)``, which a template that forgot the equality would miss."""
+    candidate = ("a", "a", Wildcard(1))
+    target = (Wildcard(1), Wildcard(1), Wildcard(2))
+    assert target in strictly_less_informative_multi(candidate)
+    assert target not in strictly_less_informative_multi(("a", "b", Wildcard(1)))
+    template = cone_template(("a", "a", WILDCARD))
+    members = template.members(("a", "a", WILDCARD))
+    index = members.index(candidate)
+    assert target in {members[j] for j in template.dominated[index]}
+    # Same shape, other constants: the template instantiates, not copies.
+    assert cone(("b", "b", WILDCARD)) == reference_cone(("b", "b", WILDCARD))
